@@ -29,7 +29,8 @@ def main():
     print("== specialization overheads (Figure 16 phases) ==")
     for phase in ("elab", "veri", "cgen", "comp", "wrap", "simc"):
         print(f"  {phase:5} {spec.overheads.get(phase, 0.0):7.3f} s")
-    print(f"  generated C: {len(spec.c_source.splitlines())} lines "
+    print(f"  generated C: {len(spec.c_source.splitlines())} lines, "
+          f"{spec.n_blocks} blocks in {spec.n_functions} functions "
           f"-> {spec.lib_path}")
 
     # --- cycle-exactness -------------------------------------------------

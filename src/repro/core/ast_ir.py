@@ -229,16 +229,38 @@ _CMPOPS = {
 _ACCESSOR_METHODS = {"uint", "int"}
 
 
+_FUNC_ASTS = {}                    # id(code) -> (code, top-level node)
+
+
+def parse_func(func):
+    """Parse ``func``'s source into its top-level statement node.
+
+    Every instance of a model's block shares one code object, so the
+    result is cached on ``func.__code__`` (by identity; the entry holds
+    the code object, so its id is never reused): a 64-router mesh
+    parses each router block once, not 64 times.  The tree is shared
+    across callers, who must not mutate it.  Raises ``OSError`` /
+    ``TypeError`` (source unavailable) and ``SyntaxError`` exactly as
+    ``inspect.getsource`` and ``ast.parse`` do.
+    """
+    code = getattr(func, "__code__", None)
+    hit = _FUNC_ASTS.get(id(code))
+    if hit is not None and hit[0] is code:
+        return hit[1]
+    node = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+    if code is not None:
+        _FUNC_ASTS[id(code)] = (code, node)
+    return node
+
+
 def get_func_ast(func):
     """Parse a block function's source into its FunctionDef node."""
     try:
-        src = textwrap.dedent(inspect.getsource(func))
+        func_def = parse_func(func)
     except (OSError, TypeError) as exc:
         raise TranslationError(
             f"cannot retrieve source for {func.__qualname__}"
         ) from exc
-    tree = ast.parse(src)
-    func_def = tree.body[0]
     if not isinstance(func_def, ast.FunctionDef):
         raise TranslationError(
             f"{func.__qualname__}: expected a function definition"

@@ -43,9 +43,9 @@ Two related analyses run over each combinational block's AST:
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
+import copy
 
+from .ast_ir import parse_func
 from .model import Model, _CombBlock
 from .portbundle import PortBundle
 from .signals import InPort, OutPort, Signal, Wire, _SignalSlice
@@ -284,13 +284,11 @@ def _analyze_block(blk):
     blk.writes = []
     blk.writes_known = False
     try:
-        src = textwrap.dedent(inspect.getsource(blk.func))
-        tree = ast.parse(src)
+        func_def = parse_func(blk.func)
     except (OSError, TypeError, SyntaxError):
         blk.signals = _fallback_sensitivity(model)
         return
 
-    func_def = tree.body[0]
     if not isinstance(func_def, (ast.FunctionDef, ast.AsyncFunctionDef)):
         blk.signals = _fallback_sensitivity(model)
         return
@@ -443,15 +441,15 @@ def _analyze_tick(blk):
     blk.gateable = False
     model = blk.model
     try:
-        src = textwrap.dedent(inspect.getsource(blk.func))
-        tree = ast.parse(src)
+        func_def = parse_func(blk.func)
     except (OSError, TypeError, SyntaxError):
         return
-    func_def = tree.body[0]
     if not isinstance(func_def, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return
     # The ``@s.tick_*`` decorator would read as a bound-method access
-    # on the model: not part of the block's body.
+    # on the model: not part of the block's body.  Walk a shallow copy
+    # without it; the parsed tree is shared and must stay intact.
+    func_def = copy.copy(func_def)
     func_def.decorator_list = []
     root_names = _model_ref_names(blk.func, model)
     if not root_names:

@@ -14,8 +14,12 @@ state array:
   ``sa = a - 0x100000000`` compare correctly);
 - plain CL state becomes static ``int64_t`` variables/arrays.
 
-Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a static
-slot lookup table per reference.
+Blocks are emitted as *canonical bodies*: a body reaches nets only
+through a per-instance slot table ``N`` (``I->cur[N[k]]``), and a
+dynamically indexed signal list (``s.rf[rd]``) is a contiguous segment
+of that table (``I->cur[N[b + (int)(rd)]]``).  The text of a body then
+no longer depends on which instance it came from, so every instance of
+a model type shares one C function and adds only its slot table.
 """
 
 from __future__ import annotations
@@ -581,7 +585,19 @@ void load_inst(void *p, const char *buf);
 
 
 class CBackend:
-    """Generates one C function per behavioral block."""
+    """Emits behavioral blocks as shared canonical C bodies.
+
+    :meth:`block_call` lowers one block to a body whose net accesses
+    all go through the slot table ``N``: ``N[k]`` is the block's k-th
+    distinct slot in order of first use, and each dynamically indexed
+    signal list takes a contiguous segment of ``N``.  The body text is
+    the dedupe key: the first block with a given text defines
+    ``static void blk_<j>(inst_t *I, const int *N)`` (collected in
+    :attr:`functions`), and every block only adds a slot table
+    (:meth:`emit_tables`) and a call.  Blocks whose text names
+    per-instance CL state (``st_m<i>_<attr>``) or folds per-instance
+    constants simply get bodies of their own.
+    """
 
     def __init__(self, slot_of, state_cname=None):
         """``slot_of(signal) -> int`` maps a signal to its net slot;
@@ -589,22 +605,32 @@ class CBackend:
         (must be unique per (model, attribute))."""
         self.slot_of = slot_of
         self.state_cname = state_cname or (lambda ref: _sname(ref.name))
-        self._tables = []          # (name, [slots]) lookup tables
-        self._table_cache = {}
+        self.functions = []        # one C definition per distinct body
+        self._bodies = {}          # body text -> function name
+        self._tables = {}          # slot tuple -> table name
+        self._offsets = {}         # current block: slot(s) -> offset in N
+        self._slots = []           # current block: contents of N
 
-    # -- tables for dynamic indexing -----------------------------------------
-
-    def table_for(self, ref):
-        slots = tuple(self.slot_of(sig) for sig in ref.signals)
-        if slots not in self._table_cache:
-            name = f"tbl{len(self._tables)}"
-            self._tables.append((name, slots))
-            self._table_cache[slots] = name
-        return self._table_cache[slots]
+    def block_call(self, ir):
+        """Lower one block; return the C statement that runs it."""
+        self._offsets = {}
+        self._slots = []
+        body = self._block_body(ir)
+        name = self._bodies.get(body)
+        if name is None:
+            name = self._bodies[body] = f"blk_{len(self._bodies)}"
+            self.functions.append(
+                f"/* {type(ir.model).__name__}.{ir.name} */\n"
+                f"static void {name}{body}")
+        if not self._slots:
+            return f"{name}(I, 0);"
+        slots = tuple(self._slots)
+        table = self._tables.setdefault(slots, f"slots{len(self._tables)}")
+        return f"{name}(I, {table});"
 
     def emit_tables(self):
         lines = []
-        for name, slots in self._tables:
+        for slots, name in self._tables.items():
             body = ", ".join(str(s) for s in slots)
             lines.append(
                 f"static const int {name}[{len(slots)}] = {{{body}}};"
@@ -613,11 +639,20 @@ class CBackend:
 
     # -- references ---------------------------------------------------------------
 
+    def _offset(self, slots):
+        """Offset in ``N`` of a slot tuple, appended on first use."""
+        offset = self._offsets.get(slots)
+        if offset is None:
+            offset = self._offsets[slots] = len(self._slots)
+            self._slots.extend(slots)
+        return offset
+
     def slot_expr(self, ref):
         if ref.is_dynamic():
-            table = self.table_for(ref)
-            return f"{table}[(int)({self.expr(ref.index)})]"
-        return str(self.slot_of(ref.signal))
+            base = self._offset(
+                tuple(self.slot_of(sig) for sig in ref.signals))
+            return f"N[{base} + (int)({self.expr(ref.index)})]"
+        return f"N[{self._offset((self.slot_of(ref.signal),))}]"
 
     def sig_read(self, ref, array="cur"):
         slot = self.slot_expr(ref)
@@ -757,10 +792,9 @@ class CBackend:
             return f"{pad}continue;"
         raise TranslationError(f"cgen: unknown stmt {type(node).__name__}")
 
-    def block_function(self, ir, func_name):
-        """Emit the full C function for a lowered block."""
-        lines = [f"static void {func_name}(inst_t *I) {{"]
-        lines.append("  (void)I;")
+    def _block_body(self, ir):
+        """The C parameter list and body of a lowered block."""
+        lines = ["(inst_t *I, const int *N) {", "  (void)I; (void)N;"]
         for name, ltype in ir.locals.items():
             if ltype == "int":
                 lines.append(f"  int64_t {_lname(name)} = 0;")

@@ -1,12 +1,18 @@
 """SimJIT specializers: compile elaborated models to C (paper Section IV).
 
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
-lower every behavioral block to IR, emit a single C translation unit
-(one net-state array, one function per block, a statically scheduled
-combinational fixpoint), compile it with gcc, load it through cffi, and
-hand back a drop-in :class:`JITModel` exposing the original port
-interface — exactly the flow of paper Figure 12, with our own RTL→C
-compiler standing in for Verilator (see DESIGN.md).
+lower every behavioral block to IR, emit a single C translation unit,
+compile it with gcc, load it through cffi, and hand back a drop-in
+:class:`JITModel` exposing the original port interface — exactly the
+flow of paper Figure 12, with our own RTL→C compiler standing in for
+Verilator (see DESIGN.md).
+
+The translation unit holds one net-state array for the whole flattened
+design, one C function per *distinct* block body (instances of a model
+type share it and pass their own net-slot table, see
+:class:`~.cgen.CBackend`), and a statically scheduled combinational
+fixpoint that calls every block instance in dependency order.  The
+compiled ``.so`` is cached under the sha256 of the emitted source.
 
 Per-phase overheads (elab / veri / cgen / comp / wrap / simc) are
 recorded on the returned engine for the Figure 16 experiment.
@@ -366,13 +372,18 @@ class _Specializer:
         self.extra_cdef = extra_cdef
         self.schedule = schedule        # static comb scheduling on/off
         self.overheads = {}
+        # Lowered blocks vs distinct C functions in the last emission
+        # (instances of one model type share a function).
+        self.n_blocks = 0
+        self.n_functions = 0
 
     def specialize(self):
         """Run the full pipeline; returns a :class:`JITModel`."""
         with tracing.span("simjit.compile",
                           design=type(self.orig).__name__) as sp:
             wrapper = self._specialize()
-            sp.set(cache_hit=bool(self.overheads.get("cache_hit")))
+            sp.set(cache_hit=bool(self.overheads.get("cache_hit")),
+                   blocks=self.n_blocks, functions=self.n_functions)
             return wrapper
 
     def _specialize(self):
@@ -544,9 +555,6 @@ class _Specializer:
             return f"st_m{model_index[id(ref.model)]}_{ref.name}"
 
         backend = CBackend(self._slot_of, state_cname)
-        functions = []
-        comb_names = []
-        tick_names = []
         state_vars = {}            # cname -> (model, attr_name, size)
 
         def collect(ir):
@@ -560,16 +568,14 @@ class _Specializer:
                 state_vars[state_cname(ref)] = (
                     ref.model, ref.name, ref.size)
 
-        for i, ir in enumerate(comb_order):
-            name = f"comb_{i}_{ir.name}"
-            functions.append(backend.block_function(ir, name))
-            comb_names.append(name)
+        # Call lines keep the scheduled order; instances of one model
+        # type share a function body and differ only in slot tables.
+        comb_calls = [backend.block_call(ir) for ir in comb_order]
+        tick_calls = [backend.block_call(ir) for ir in tick_irs]
+        for ir in (*comb_order, *tick_irs):
             collect(ir)
-        for i, ir in enumerate(tick_irs):
-            name = f"tick_{i}_{ir.name}"
-            functions.append(backend.block_function(ir, name))
-            tick_names.append(name)
-            collect(ir)
+        self.n_blocks = len(comb_calls) + len(tick_calls)
+        self.n_functions = len(backend.functions)
 
         parts = [C_PRELUDE.replace(
             "@NNETS@", str(max(1, len(self._net_widths))))]
@@ -594,15 +600,15 @@ class _Specializer:
         struct_lines.append("} inst_t;")
         parts.append("\n".join(struct_lines))
 
+        parts.extend(backend.functions)
         parts.append(backend.emit_tables())
-        parts.extend(functions)
 
-        run_comb = "\n".join(f"  {n}(I);" for n in comb_names)
+        run_comb = "\n".join(f"  {c}" for c in comb_calls)
         parts.append(
             "static void run_comb_blocks(inst_t *I) {\n"
             f"  (void)I;\n{run_comb}\n}}"
         )
-        run_tick = "\n".join(f"  {n}(I);" for n in tick_names)
+        run_tick = "\n".join(f"  {c}" for c in tick_calls)
         parts.append(
             "static void run_tick_blocks(inst_t *I) {\n"
             f"  (void)I;\n{run_tick}\n}}"

@@ -6,11 +6,12 @@ interpreted simulation, cycle by cycle, under arbitrary stimulus.
 """
 
 import random
+import re
 
 import pytest
 
-from repro.core import Model, SimulationTool
-from repro.core.signals import InPort, OutPort
+from repro.core import InValRdyBundle, Model, OutValRdyBundle, SimulationTool
+from repro.core.signals import InPort, OutPort, Wire
 from repro.core.simjit import SimJITCL, SimJITRTL, SpecializationError
 from repro.components import (
     IntPipelinedMultiplier,
@@ -235,3 +236,130 @@ def test_generated_source_is_c(tmp_path):
     assert "run_comb_blocks" in spec.c_source
     assert "run_tick_blocks" in spec.c_source
     assert spec.lib_path.endswith(".so")
+
+
+# -- shared canonical bodies ------------------------------------------------------
+
+
+def _emitted_bodies(c_source):
+    """``{function name: (block label, body text)}`` of every emitted
+    block function."""
+    found = re.findall(
+        r"/\* (\S+) \*/\nstatic void (blk_\d+)(\(inst_t \*I, "
+        r"const int \*N\) \{\n.*?\n\})", c_source, re.S)
+    return {name: (label, body) for label, name, body in found}
+
+
+def test_mesh_emits_one_function_per_distinct_body():
+    from repro.telemetry import tracing
+
+    net = MeshNetworkStructural(RouterRTL, 16, 256, 32, 2).elaborate()
+    spec = SimJITRTL(net)
+    tracer = tracing.arm()
+    try:
+        spec.specialize()
+    finally:
+        tracing.disarm()
+    bodies = _emitted_bodies(spec.c_source)
+    texts = [body for _, body in bodies.values()]
+    assert len(bodies) == spec.n_functions
+    assert len(set(texts)) == len(texts)
+    # 16 routers x (5 queues x 2 blocks + 3 router blocks); only the
+    # router's switch_logic, which folds the router's (x, y), varies.
+    assert spec.n_blocks == 16 * 13
+    assert spec.n_functions == 16 + 4
+    labels = [label for label, _ in bodies.values()]
+    assert labels.count("NormalQueue.seq_logic") == 1
+    assert labels.count("NormalQueue.comb_logic") == 1
+    # Every lowered block still gets exactly one call line.
+    calls = re.findall(r"^  blk_\d+\(I, \w+\);$", spec.c_source, re.M)
+    assert len(calls) == spec.n_blocks
+
+    compile_rec = next(rec for rec in tracer.events
+                       if rec["name"] == "simjit.compile")
+    assert compile_rec["args"]["blocks"] == spec.n_blocks
+    assert compile_rec["args"]["functions"] == spec.n_functions
+
+
+class _Mixer(Model):
+    """Register file written through a dynamic pointer; the output
+    mixes the input with two dynamically selected entries."""
+
+    def __init__(s, nbits=8):
+        s.in_ = InValRdyBundle(nbits)
+        s.out = OutValRdyBundle(nbits)
+        s.sel_a = InPort(2)
+        s.sel_b = InPort(2)
+        s.regs = [Wire(nbits) for _ in range(4)]
+        s.ptr = Wire(2)
+
+        @s.tick_rtl
+        def seq_logic():
+            if s.reset:
+                s.ptr.next = 0
+            elif s.in_.val.uint() and s.in_.rdy.uint():
+                s.regs[s.ptr.uint()].next = s.in_.msg.uint()
+                s.ptr.next = s.ptr.uint() + 1
+
+        @s.combinational
+        def comb_logic():
+            s.in_.rdy.value = s.out.rdy.uint()
+            s.out.val.value = s.in_.val.uint()
+            s.out.msg.value = (s.in_.msg.uint()
+                               + s.regs[s.sel_a.uint()].uint()
+                               + 3 * s.regs[s.sel_b.uint()].uint())
+
+
+class _MixerTrio(Model):
+    """Three mixers; the last one's two select ports share one net."""
+
+    def __init__(s):
+        s.in_ = InValRdyBundle[3](8)
+        s.out = OutValRdyBundle[3](8)
+        s.mix = [_Mixer() for _ in range(3)]
+        s.shared_sel = Wire(2)
+        for i, mix in enumerate(s.mix):
+            s.connect(s.in_[i], mix.in_)
+            s.connect(mix.out, s.out[i])
+            if i < 2:
+                s.connect(mix.sel_a, s.in_[i].msg[0:2])
+                s.connect(mix.sel_b, s.in_[i].msg[2:4])
+        s.connect(s.shared_sel, s.in_[2].msg[4:6])
+        s.connect(s.mix[2].sel_a, s.shared_sel)
+        s.connect(s.mix[2].sel_b, s.shared_sel)
+
+
+def test_shared_bodies_with_aliased_ports_cosim_cycle_exact():
+    """Instances of one type share a body unless their slot pattern
+    differs: an instance whose two select ports alias one net gets its
+    own comb body, and every instance stays cycle-exact against the
+    interpreted static scheduler under random stimulus."""
+    from repro.verif import RNG, CoSimHarness, DutAdapter
+    from repro.verif import backpressure_pattern, presence_pattern
+
+    spec = SimJITRTL(_MixerTrio().elaborate())
+    jit = spec.specialize().elaborate()
+    labels = [label for label, _ in
+              _emitted_bodies(spec.c_source).values()]
+    assert labels.count("_Mixer.seq_logic") == 1
+    assert labels.count("_Mixer.comb_logic") == 2
+
+    def adapter(name, model, **kw):
+        return DutAdapter(
+            name, model,
+            drives={f"in{i}": model.in_[i] for i in range(3)},
+            captures={f"out{i}": model.out[i] for i in range(3)}, **kw)
+
+    rng = RNG(17)
+    stimulus = {}
+    for i in range(3):
+        port_rng = rng.fork(f"in{i}")
+        stimulus[f"in{i}"] = [port_rng.getrandbits(8) for _ in range(300)]
+    res = CoSimHarness(
+        [adapter("static", _MixerTrio(), sched="static"),
+         adapter("jit", jit)],
+        compare="cycle_exact").run(
+            stimulus,
+            backpressure=backpressure_pattern("random", p=0.7, seed=3),
+            presence=presence_pattern("random", p=0.8, seed=3))
+    assert res.ntransactions() == 3 * 300
