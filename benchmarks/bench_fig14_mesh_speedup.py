@@ -7,9 +7,12 @@ SimJIT+PyPy / hand-written C++(verilated) configurations.
 Our reproduction (substitutions documented in DESIGN.md):
 
 - *CPython interpreted* — this framework's event-driven simulator;
-- *SimJIT* — the compiled-C model driven by the same Python harness;
-- *C reference* — the same model plus an all-C traffic driver with no
-  Python in the loop (the efficiency-language upper bound the paper's
+- *SimJIT* — the compiled-C model stepped cycle by cycle by the same
+  Python harness (kept on its Python loop by a no-op cycle hook, see
+  ``common.python_stepped_harness``);
+- *C reference* — the same model with the harness's compiled traffic
+  driver: the whole traffic loop runs inside the kernel with no Python
+  in the loop (the efficiency-language upper bound the paper's
   hand-coded C++ / verilated simulators provide);
 - PyPy rows are not reproducible offline (no PyPy); the SimJIT rows
   carry the JIT story alone.
@@ -25,10 +28,10 @@ import pytest
 
 from common import (
     NENTRIES,
-    build_c_reference,
     build_jit_network,
     build_network,
     format_table,
+    python_stepped_harness,
     write_result,
 )
 from repro.net import NetworkTrafficHarness
@@ -56,7 +59,7 @@ def _interp_rate(level):
 
 def _jit_rate(level):
     wrapper, spec = build_jit_network(level, NROUTERS)
-    harness = NetworkTrafficHarness(wrapper, seed=1)
+    harness = python_stepped_harness(wrapper, seed=1)
     start = time.perf_counter()
     harness.run_uniform_random(RATE, JIT_CYCLES, drain=0)
     elapsed = time.perf_counter() - start
@@ -68,9 +71,10 @@ def _jit_rate(level):
 
 
 def _cref_rate(level):
-    run, spec = build_c_reference(level, NROUTERS)
+    wrapper, spec = build_jit_network(level, NROUTERS)
+    harness = NetworkTrafficHarness(wrapper, seed=1)
     start = time.perf_counter()
-    run(CREF_CYCLES, RATE)
+    harness.run_uniform_random(RATE, CREF_CYCLES, drain=0)
     elapsed = time.perf_counter() - start
     overhead = sum(
         v for k, v in spec.overheads.items() if isinstance(v, float)
@@ -142,7 +146,7 @@ def test_fig14_mesh_speedup(benchmark, level):
     write_result(f"fig14_{level}.txt", text)
 
     wrapper, _ = build_jit_network(level, NROUTERS)
-    harness = NetworkTrafficHarness(wrapper, seed=2)
+    harness = python_stepped_harness(wrapper, seed=2)
     benchmark.pedantic(
         lambda: harness.run_uniform_random(RATE, 1000, drain=0),
         rounds=1, iterations=1,

@@ -3,10 +3,9 @@
 Provides:
 
 - mesh builders at FL/CL/RTL detail (interpreted or SimJIT-compiled);
-- an all-in-C uniform-random traffic driver generated alongside the
-  SimJIT model — the "efficiency-level-language reference" role played
-  in the paper by hand-written C++ / verilated simulators (DESIGN.md
-  documents this substitution);
+- the Python-stepped SimJIT traffic harness (the paper's "SimJIT"
+  configuration; the product's compiled harness is the all-C
+  reference, see DESIGN.md);
 - result-table helpers that print the rows each figure reports and
   persist them under ``benchmarks/results/``.
 """
@@ -17,10 +16,10 @@ import os
 import sys
 import time
 
+from repro.core import SimulationTool
 from repro.core.simjit import SimJITCL, SimJITRTL
 from repro.net import (
     MeshNetworkStructural,
-    NetMsg,
     NetworkFL,
     NetworkTrafficHarness,
     RouterCL,
@@ -48,184 +47,26 @@ def specializer_for(level):
     return SimJITCL if level == "cl" else SimJITRTL
 
 
-def build_jit_network(level, nrouters, extra_c="", extra_cdef="",
-                      cache=True):
+def build_jit_network(level, nrouters, cache=True):
     """SimJIT-specialized mesh; returns (wrapper_model, specializer)."""
     net = build_network(level, nrouters)
-    spec = specializer_for(level)(
-        net, extra_c=extra_c, extra_cdef=extra_cdef, cache=cache)
+    spec = specializer_for(level)(net, cache=cache)
     wrapper = spec.specialize().elaborate()
     return wrapper, spec
 
 
-# -- all-C traffic driver ----------------------------------------------------------
+def python_stepped_harness(wrapper, seed):
+    """Traffic harness that steps a SimJIT model from Python each cycle.
 
-_DRIVER_CDEF = """
-void run_traffic(void *p, int ncycles, int rate_milli, unsigned seed,
-                 int64_t *stats);
-"""
-
-_DRIVER_TEMPLATE = r"""
-/* ---- generated all-C uniform-random traffic driver ---- */
-
-#define NTERM %(nterm)d
-
-static const int drv_in_msg[NTERM] = {%(in_msg)s};
-static const int drv_in_val[NTERM] = {%(in_val)s};
-static const int drv_in_rdy[NTERM] = {%(in_rdy)s};
-static const int drv_out_msg[NTERM] = {%(out_msg)s};
-static const int drv_out_val[NTERM] = {%(out_val)s};
-static const int drv_out_rdy[NTERM] = {%(out_rdy)s};
-
-void run_traffic(void *p, int ncycles, int rate_milli, unsigned seed,
-                 int64_t *stats) {
-    inst_t *I = (inst_t *)p;
-    unsigned lcg = seed * 2654435761u + 1u;
-    int64_t injected = 0, ejected = 0, lat_sum = 0, lat_n = 0;
-    long long pending[NTERM];
-    int have[NTERM];
-    for (int i = 0; i < NTERM; i++) { have[i] = 0; pending[i] = 0; }
-    for (int i = 0; i < NTERM; i++)
-        I->cur[drv_out_rdy[i]] = 1;
-
-    unsigned seq = 0;
-    for (int cyc = 0; cyc < ncycles; cyc++) {
-        for (int i = 0; i < NTERM; i++) {
-            if (!have[i]) {
-                lcg = lcg * 1664525u + 1013904223u;
-                if ((lcg >> 8) %% 1000 < (unsigned)rate_milli) {
-                    lcg = lcg * 1664525u + 1013904223u;
-                    unsigned dest = (lcg >> 8) %% NTERM;
-                    long long ts = cyc + 1;
-                    long long msg =
-                        ((long long)dest << %(dest_shift)d) |
-                        ((long long)i << %(src_shift)d) |
-                        ((long long)(seq++ %% %(nmsgs)d)
-                         << %(seq_shift)d) |
-                        (ts & 0xFFFFFFFFLL);
-                    pending[i] = msg;
-                    have[i] = 1;
-                    injected++;
-                }
-            }
-            if (have[i]) {
-                I->cur[drv_in_msg[i]] = (u128)pending[i];
-                I->cur[drv_in_val[i]] = 1;
-            } else {
-                I->cur[drv_in_val[i]] = 0;
-            }
-        }
-        int accepted[NTERM];
-        for (int i = 0; i < NTERM; i++)
-            accepted[i] = have[i] && (int)I->cur[drv_in_rdy[i]];
-        cycle(p, 1);
-        for (int i = 0; i < NTERM; i++)
-            if (accepted[i]) have[i] = 0;
-        for (int i = 0; i < NTERM; i++) {
-            if ((int)I->cur[drv_out_val[i]]) {
-                long long ts =
-                    (long long)(I->cur[drv_out_msg[i]] & 0xFFFFFFFF);
-                ejected++;
-                if (ts) { lat_sum += (cyc + 1) - ts; lat_n++; }
-            }
-        }
-    }
-    stats[0] = injected;
-    stats[1] = ejected;
-    stats[2] = lat_sum;
-    stats[3] = lat_n;
-}
-"""
-
-
-def make_traffic_driver_source(net, slot_of):
-    """Generate the all-C driver for an elaborated network model."""
-    nterm = len(net.in_)
-    msg_type = net.msg_type
-    dest_lo, _ = msg_type.field_slice("dest")
-    src_lo, _ = msg_type.field_slice("src")
-    seq_lo, _ = msg_type.field_slice("opaque")
-
-    def slots(ports):
-        return ", ".join(str(slot_of(p)) for p in ports)
-
-    return _DRIVER_TEMPLATE % {
-        "nterm": nterm,
-        "in_msg": slots([b.msg for b in net.in_]),
-        "in_val": slots([b.val for b in net.in_]),
-        "in_rdy": slots([b.rdy for b in net.in_]),
-        "out_msg": slots([b.msg for b in net.out]),
-        "out_val": slots([b.val for b in net.out]),
-        "out_rdy": slots([b.rdy for b in net.out]),
-        "dest_shift": dest_lo,
-        "src_shift": src_lo,
-        "seq_shift": seq_lo,
-        "nmsgs": NMSGS,
-    }
-
-
-def build_c_reference(level, nrouters, cache=True):
-    """Compile mesh + all-C driver; returns a callable
-    run(ncycles, rate, seed) -> dict of stats, plus the specializer."""
-    net = build_network(level, nrouters)
-    # Slot mapping must match the specializer's (_all_nets order).
-    slot_index = {id(n): i for i, n in enumerate(net._all_nets)}
-
-    def slot_of(sig):
-        return slot_index[id(sig._net.find())]
-
-    driver = make_traffic_driver_source(net, slot_of)
-    spec = specializer_for(level)(
-        net, extra_c=driver, extra_cdef=_DRIVER_CDEF, cache=cache)
-    wrapper = spec.specialize()
-    engine = wrapper.jit_engine
-    import cffi
-    ffi = cffi.FFI()
-    stats_buf = ffi.new("int64_t[4]")
-
-    def run(ncycles, rate, seed=1):
-        engine.lib.run_traffic(
-            engine.inst, ncycles, int(rate * 1000), seed, stats_buf)
-        injected, ejected, lat_sum, lat_n = list(stats_buf)
-        return {
-            "injected": injected,
-            "ejected": ejected,
-            "avg_latency": lat_sum / lat_n if lat_n else float("nan"),
-        }
-
-    return run, spec
-
-
-# -- measurement helpers --------------------------------------------------------------
-
-
-def time_interp_network(level, nrouters, ncycles, rate=0.25, seed=1):
-    net = build_network(level, nrouters)
-    harness = NetworkTrafficHarness(net, seed=seed)
-    start = time.perf_counter()
-    harness.run_uniform_random(rate, ncycles, drain=0)
-    return time.perf_counter() - start
-
-
-def time_jit_network(level, nrouters, ncycles, rate=0.25, seed=1,
-                     include_overheads=False):
-    start_total = time.perf_counter()
-    wrapper, spec = build_jit_network(level, nrouters,
-                                      cache=not include_overheads)
-    harness = NetworkTrafficHarness(wrapper, seed=seed)
-    start_sim = time.perf_counter()
-    harness.run_uniform_random(rate, ncycles, drain=0)
-    end = time.perf_counter()
-    if include_overheads:
-        return end - start_total
-    return end - start_sim
-
-
-def time_c_reference(level, nrouters, ncycles, rate=0.25, seed=1):
-    run, _ = build_c_reference(level, nrouters)
-    start = time.perf_counter()
-    run(ncycles, rate, seed)
-    return time.perf_counter() - start
+    This is the paper's Fig. 14/15 "SimJIT" configuration: compiled
+    model, Python test bench.  ``run_uniform_random`` would otherwise
+    move the whole loop into the kernel's compiled traffic driver; any
+    registered cycle hook keeps it on the Python loop, so a no-op hook
+    selects this configuration without changing a simulated bit.
+    """
+    sim = SimulationTool(wrapper)
+    sim.add_cycle_hook(lambda cycle: None)
+    return NetworkTrafficHarness(wrapper, sim=sim, seed=seed)
 
 
 # -- paired order-alternating timing harness ------------------------------------------

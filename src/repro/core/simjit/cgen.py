@@ -168,6 +168,112 @@ void save_inst(void *p, char *buf) {
 void load_inst(void *p, const char *buf) {
     memcpy(p, buf, sizeof(inst_t));
 }
+
+/* ---- compiled traffic harness (net.traffic) ----
+
+   Uniform-random traffic with the exact semantics of the Python
+   NetworkTrafficHarness loop, including its random.Random stream:
+   mt[0..623] is the MT19937 state and mt[624] the index, as in
+   Random.getstate().  ctr holds sim.ncycles, seqnum, injected,
+   ejected (in/out) and the latencies written to lat (out).  slots
+   holds n in_val, in_msg, in_rdy, out_val, out_msg slots.  fmt holds
+   the dest/src/seq/payload shifts, then seq and payload masks as
+   (lo, hi) pairs.  pend holds (staged, lo, hi) per terminal.  With
+   inject == 0 (drain) no packet is made and the run stops once every
+   injected packet is ejected.  Returns the cycles run, -1 on a
+   combinational loop. */
+
+static uint32_t mt_next(uint32_t *mt) {
+    uint32_t y;
+    if (mt[624] >= 624) {
+        int k;
+        for (k = 0; k < 624; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % 624] & 0x7fffffffU);
+            mt[k] = mt[(k + 397) % 624] ^ (y >> 1)
+                    ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        mt[624] = 0;
+    }
+    y = mt[mt[624]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* Random.random(): 53 bits from two words. */
+static double mt_random(uint32_t *mt) {
+    uint32_t a = mt_next(mt) >> 5, b = mt_next(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Random.randrange(n): getrandbits(n.bit_length()) until below n. */
+static uint32_t mt_randbelow(uint32_t *mt, uint32_t n) {
+    int k = 0;
+    uint32_t r;
+    while (k < 32 && (n >> k) != 0) k++;
+    do {
+        r = mt_next(mt) >> (32 - k);
+    } while (r >= n);
+    return r;
+}
+
+long long traffic_run(void *p, uint32_t *mt, int64_t *ctr,
+                      const int *slots, int n, const uint64_t *fmt,
+                      double rate, int inject, long long cycle0,
+                      long long warmup, long long ncyc, uint64_t *pend,
+                      int64_t *lat) {
+    inst_t *I = (inst_t *)p;
+    const int *in_val = slots, *in_msg = slots + n, *in_rdy = slots + 2 * n;
+    const int *out_val = slots + 3 * n, *out_msg = slots + 4 * n;
+    u128 seq_mask = ((u128)fmt[5] << 64) | fmt[4];
+    u128 pay_mask = ((u128)fmt[7] << 64) | fmt[6];
+    int64_t nlat = 0;
+    unsigned char accepted[n > 0 ? n : 1];
+    long long k;
+    for (k = 0; k < ncyc; k++) {
+        if (!inject && ctr[3] >= ctr[2]) break;
+        int64_t ts = cycle0 + k >= warmup ? ctr[0] : 0;
+        for (int i = 0; i < n; i++) {
+            uint64_t *pe = pend + 3 * i;
+            if (inject && !pe[0] && mt_random(mt) < rate) {
+                u128 dest = mt_randbelow(mt, (uint32_t)n);
+                u128 seq = (u128)ctr[1]++ & seq_mask;
+                u128 msg = (dest << fmt[0]) | ((u128)i << fmt[1])
+                           | (seq << fmt[2])
+                           | (((u128)ts & pay_mask) << fmt[3]);
+                pe[0] = 1;
+                pe[1] = (uint64_t)msg;
+                pe[2] = (uint64_t)(msg >> 64);
+                ctr[2]++;
+            }
+            if (pe[0]) {
+                I->cur[in_val[i]] = 1;
+                I->cur[in_msg[i]] = (((u128)pe[2] << 64) | pe[1])
+                                    & mask_of(net_width[in_msg[i]]);
+            } else {
+                I->cur[in_val[i]] = 0;
+            }
+            /* The handshake fires at the coming edge with the rdy the
+               test bench sees now: the previous post-edge settle. */
+            accepted[i] = pe[0] && I->cur[in_rdy[i]] != 0;
+        }
+        if (cycle(p, 1) < 0) return -1;
+        ctr[0]++;
+        for (int i = 0; i < n; i++)
+            if (accepted[i]) pend[3 * i] = 0;
+        for (int i = 0; i < n; i++) {
+            if (I->cur[out_val[i]] != 0) {
+                u128 sent = (I->cur[out_msg[i]] >> fmt[3]) & pay_mask;
+                ctr[3]++;
+                if (sent != 0) lat[nlat++] = ctr[0] - (int64_t)sent;
+            }
+        }
+    }
+    ctr[4] = nlat;
+    return k;
+}
 """
 
 # Compiled-instrumentation runtime, appended to every translation unit.
@@ -581,6 +687,11 @@ void set_state_at(void *p, int idx, int elem, int64_t value);
 size_t inst_size(void);
 void save_inst(void *p, char *buf);
 void load_inst(void *p, const char *buf);
+long long traffic_run(void *p, uint32_t *mt, int64_t *ctr,
+                      const int *slots, int n, const uint64_t *fmt,
+                      double rate, int inject, long long cycle0,
+                      long long warmup, long long ncyc, uint64_t *pend,
+                      int64_t *lat);
 """
 
 

@@ -145,6 +145,14 @@ class SimJITEngine:
         self._in_nets = None
         self._shadow = {}
 
+    def port_slots(self):
+        """``{id(port): slot}`` for every port of the specialized model,
+        as resolved at specialization (the wrapper's own elaboration
+        may re-merge nets afterwards, so ``slot_of`` no longer
+        applies)."""
+        return {id(sig): slot
+                for sig, slot in self._in_ports + self._out_ports}
+
     def _bind(self):
         import cffi
         ffi = cffi.FFI()
@@ -363,13 +371,11 @@ class _Specializer:
     name = "simjit"
 
     def __init__(self, model, opt="-O2", cache=True, verbose=False,
-                 extra_c="", extra_cdef="", schedule=True):
+                 schedule=True):
         self.orig = model
         self.opt = opt
         self.cache = cache
         self.verbose = verbose
-        self.extra_c = extra_c          # e.g. an all-C bench driver
-        self.extra_cdef = extra_cdef
         self.schedule = schedule        # static comb scheduling on/off
         self.overheads = {}
         # Lowered blocks vs distinct C functions in the last emission
@@ -679,8 +685,6 @@ class _Specializer:
         )
         parts.append(C_API)
         parts.append(C_OBS)
-        if self.extra_c:
-            parts.append(self.extra_c)
         return "\n\n".join(parts)
 
     # -- compile / load -----------------------------------------------------------------
@@ -750,7 +754,7 @@ class _Specializer:
     def _load(self, lib_path):
         import cffi
         ffi = cffi.FFI()
-        ffi.cdef(C_HEADER_DECLS + C_OBS_DECLS + self.extra_cdef)
+        ffi.cdef(C_HEADER_DECLS + C_OBS_DECLS)
         return ffi.dlopen(lib_path)
 
 

@@ -642,9 +642,7 @@ class SimulationTool:
             return self._run_impl(ncycles)
 
     def _run_impl(self, ncycles):
-        if (self._jit_eligible() and self._vcd is None
-                and not self._line_trace_on and self.trace_log is None
-                and not self._observers):
+        if self.c_batch_blocker() is None:
             # Single-engine SimJIT top with no per-cycle Python work:
             # run the whole batch inside C.  With compiled
             # instrumentation armed the obs_run loop samples in-kernel
@@ -687,6 +685,34 @@ class SimulationTool:
             self.cycle()
 
     # -- SimJIT batch execution -------------------------------------------
+
+    def c_batch_blocker(self):
+        """Why a batch of cycles on this sim cannot run inside the
+        SimJIT kernel, or None when it can.
+
+        The single predicate behind :meth:`run`'s batched C path and
+        the compiled traffic harness (:mod:`repro.net.traffic`): the
+        top must be a single-engine SimJIT model, and no per-cycle
+        Python work may be armed.  Reasons: ``cycle_hooks``,
+        ``profiler``, ``stats``, ``not_simjit_top``, ``vcd``,
+        ``line_trace``, ``trace_log``, ``observers``."""
+        if self._cycle_hooks:
+            return "cycle_hooks"
+        if self.profiler is not None:
+            return "profiler"
+        if self.collect_stats:
+            return "stats"
+        if not self._jit_eligible():
+            return "not_simjit_top"
+        if self._vcd is not None:
+            return "vcd"
+        if self._line_trace_on:
+            return "line_trace"
+        if self.trace_log is not None:
+            return "trace_log"
+        if self._observers:
+            return "observers"
+        return None
 
     def _jit_eligible(self):
         """True when this sim's top is a single-engine SimJIT model

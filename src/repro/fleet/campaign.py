@@ -611,14 +611,16 @@ def _cache_geometry_point(rng, params):
     sim.reset()
     limit = int(params.get("max_cycles", 3_000_000))
     from ..telemetry import tracing
-    with tracing.span("sim.run", design="Tile") as sp:
+    start = sim.ncycles
+    with tracing.span("sim.run", design="Tile",
+                      start_cycle=start) as sp:
         while not int(tile.proc.done):
             sim.cycle()
             if sim.ncycles >= limit:
                 raise RuntimeError(
                     f"cache_geometry point did not finish in {limit} "
                     f"cycles")
-        sp.set(ncycles=sim.ncycles)
+        sp.set(ncycles=sim.ncycles - start)
     metrics = {
         "ncycles": sim.ncycles,
         "miss_rate": tile.dcache.miss_rate(),

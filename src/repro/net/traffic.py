@@ -5,9 +5,14 @@ delivered-packet latency, throughput, and loss.  Used by the network
 tests, the Section III-D zero-load/saturation experiments, and the
 Figure 14/15 performance benchmarks.
 
-The harness pokes ports directly from Python (it is the test bench, not
-a model), embedding the injection timestamp in each packet's payload
-field so latency needs no side tables.
+The harness embeds the injection timestamp in each packet's payload
+field, so latency needs no side tables.  It has two interchangeable
+paths.  The Python loop pokes ports every cycle and works on any
+simulator; it is the reference.  On a single-engine SimJIT top with no
+per-cycle Python work armed, the same loop runs inside the compiled
+kernel (``traffic_run`` in :mod:`repro.core.simjit.cgen`), which
+replays the harness's ``random.Random`` stream with MT19937 in C, so
+both paths give bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +21,11 @@ import random
 from dataclasses import dataclass, field
 
 from ..core import SimulationTool
+
+#: Cycles per compiled-driver call: bounds the latency buffer to
+#: ``nterminals * _CHUNK`` entries and returns to Python (signals,
+#: watchdogs) at least this often.
+_CHUNK = 1024
 
 
 @dataclass
@@ -84,24 +94,74 @@ class NetworkTrafficHarness:
         Packets injected during the first ``warmup`` cycles are not
         measured.  After ``ncycles``, injection stops and up to
         ``drain`` extra cycles let in-flight packets arrive.
+
+        When the simulator could batch its cycles in C anyway (a
+        single-engine SimJIT top, see
+        :meth:`~repro.core.SimulationTool.c_batch_blocker`), with no
+        compiled instrumentation armed, ``self.rng`` a plain
+        ``random.Random`` and an ``int``/``float`` rate, the whole run
+        executes in the kernel's ``traffic_run`` driver.  That driver
+        replays the ``random.Random`` stream with MT19937 in C and
+        mirrors this method's per-cycle loop, so the result is
+        bit-identical: the same stats (latencies in order), ``sim.ncycles``,
+        ``self.seqnum``, ``self.rng`` state and port values.  Otherwise
+        the Python loop below runs; it is the reference path and the
+        only one for interpreted models.
         """
         from time import perf_counter_ns
 
         from ..telemetry import tracing
 
-        net, sim, rng = self.net, self.sim, self.rng
+        net, sim = self.net, self.sim
         sim.reset()
         # The harness drives per-cycle, so the simulator's own batch
         # instrumentation never fires; the whole measurement+drain
         # loop is one honest "sim.run" span instead.
         tracer = tracing.active()
         t0 = perf_counter_ns() if tracer is not None else 0
+        start_cycle = sim.ncycles
         stats = TrafficStats(nterminals=self.nterminals)
-        pending = [None] * self.nterminals    # staged packet per input
 
         for port in net.out:
             port.rdy.value = 1
 
+        fallback = self._compiled_blocker(injection_rate)
+        if fallback is None:
+            self._run_compiled(stats, injection_rate, ncycles, warmup,
+                               drain)
+        else:
+            self._run_python(stats, injection_rate, ncycles, warmup,
+                             drain)
+
+        stats.ncycles = ncycles
+        if tracer is not None:
+            driver = ({"driver": "compiled"} if fallback is None
+                      else {"driver": "python", "fallback": fallback})
+            tracer.add_span("sim.run", t0, perf_counter_ns(),
+                            design=type(net).__name__,
+                            ncycles=sim.ncycles - start_cycle,
+                            start_cycle=start_cycle, **driver)
+        return stats
+
+    def _compiled_blocker(self, injection_rate):
+        """Why this run cannot use the compiled driver, or None."""
+        sim = self.sim
+        reason = sim.c_batch_blocker()
+        if reason is not None:
+            return reason
+        instr = sim._jit_instr
+        if instr is not None and instr.active:
+            return "compiled_instrumentation"
+        if type(self.rng) is not random.Random:
+            return "rng_type"
+        if type(injection_rate) not in (int, float):
+            return "rate_type"
+        return None
+
+    def _run_python(self, stats, injection_rate, ncycles, warmup, drain):
+        """The reference loop: pokes ports from Python every cycle."""
+        net, sim, rng = self.net, self.sim, self.rng
+        pending = [None] * self.nterminals    # staged packet per input
         pay_shift, pay_mask = self._payload_shift, self._payload_mask
 
         def service_outputs():
@@ -150,12 +210,74 @@ class NetworkTrafficHarness:
                 net.in_[i].val.value = 1 if pending[i] is not None else 0
             step()
 
-        stats.ncycles = ncycles
-        if tracer is not None:
-            tracer.add_span("sim.run", t0, perf_counter_ns(),
-                            design=type(net).__name__,
-                            ncycles=sim.ncycles)
-        return stats
+    def _run_compiled(self, stats, injection_rate, ncycles, warmup, drain):
+        """The same loop inside the SimJIT kernel, in chunks of at most
+        ``_CHUNK`` cycles (bounded latency buffer, responsive signals)."""
+        import cffi
+
+        from ..core.simjit import SpecializationError
+
+        net, sim, rng = self.net, self.sim, self.rng
+        eng = sim.model.jit_engine
+        ffi = cffi.FFI()
+        n = self.nterminals
+        slot = eng.port_slots()
+        ports = ([p.val for p in net.in_], [p.msg for p in net.in_],
+                 [p.rdy for p in net.in_], [p.val for p in net.out],
+                 [p.msg for p in net.out])
+        slots = ffi.new("int[]", [slot[id(sig)] for group in ports
+                                  for sig in group])
+        word = (1 << 64) - 1
+        fmt = ffi.new("uint64_t[]", [
+            self._dest_shift, self._src_shift, self._seq_shift,
+            self._payload_shift,
+            self._seq_mask & word, self._seq_mask >> 64,
+            self._payload_mask & word, self._payload_mask >> 64])
+        version, state, gauss_next = rng.getstate()
+        mt = ffi.new("uint32_t[]", list(state))
+        ctr = ffi.new("int64_t[]", [sim.ncycles, self.seqnum, 0, 0, 0])
+        pend = ffi.new("uint64_t[]", 3 * n)
+        lat = ffi.new("int64_t[]", n * _CHUNK)
+        if type(injection_rate) is int:
+            # random() is in [0, 1), so clamping keeps every comparison
+            # and makes any int representable as a double.
+            injection_rate = min(max(injection_rate, 0), 1)
+        rate = float(injection_rate)
+
+        eng._push_inputs()
+
+        def run(inject, cycle0, count):
+            ran = eng.lib.traffic_run(
+                eng.inst, mt, ctr, slots, n, fmt, rate, inject, cycle0,
+                warmup, count, pend, lat)
+            if ran < 0:
+                raise SpecializationError("combinational loop in C model")
+            stats.latencies.extend(ffi.unpack(lat, ctr[4]))
+            return ran
+
+        try:
+            for cycle0 in range(0, ncycles, _CHUNK):
+                run(1, cycle0, min(_CHUNK, ncycles - cycle0))
+            left = drain
+            while left > 0:
+                count = min(_CHUNK, left)
+                ran = run(0, 0, count)
+                left -= ran
+                if ran < count:
+                    break
+        finally:
+            sim.ncycles = ctr[0]
+            self.seqnum = ctr[1]
+            stats.injected, stats.ejected = ctr[2], ctr[3]
+            rng.setstate((version, tuple(mt), gauss_next))
+            # Hand the final input values (the first 2n slots) back to
+            # the Python nets, then resync the outputs.
+            buf = ffi.new("uint64_t[]", 4 * n)
+            eng.lib.get_nets(eng.inst, slots, 2 * n, buf)
+            for i, sig in enumerate(ports[0] + ports[1]):
+                sig.value = buf[2 * i] | (buf[2 * i + 1] << 64)
+            eng.invalidate_shadows()
+            eng._pull_outputs(as_next=False)
 
     def send_single(self, src, dest, max_cycles=200):
         """Inject one packet and return its delivery latency."""

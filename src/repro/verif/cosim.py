@@ -262,6 +262,7 @@ class CoSimHarness:
         with tracing.span("cosim.drive") as drive_span:
             tracer = tracing.active()
             t0 = perf_counter_ns() if tracer is not None else 0
+            starts = [st.sim.ncycles for st in states]
             cycle = 0
             while not all(st.finished for st in states):
                 if cycle >= max_cycles:
@@ -282,10 +283,11 @@ class CoSimHarness:
             drive_span.set(ncycles=cycle)
             if tracer is not None:
                 t1 = perf_counter_ns()
-                for st in states:
+                for st, start in zip(states, starts):
                     tracer.add_span("sim.run", t0, t1,
                                     design=st.adapter.name,
-                                    ncycles=st.sim.ncycles)
+                                    ncycles=st.sim.ncycles - start,
+                                    start_cycle=start)
 
         with tracing.span("cosim.diff"):
             self._compare_final(states, result)

@@ -20,7 +20,12 @@ from repro.components import (
     run_src_sink_test,
 )
 from repro.mem import CacheRTL, MemMsg
-from repro.net import MeshNetworkStructural, NetworkTrafficHarness, RouterRTL
+from repro.net import (
+    MeshNetworkStructural,
+    NetworkTrafficHarness,
+    RouterCL,
+    RouterRTL,
+)
 
 
 def _flat_ports(model, kind):
@@ -112,20 +117,187 @@ def test_mesh_equivalent_random_seeds(seed):
     )
 
 
-def test_mesh_traffic_statistics_match():
-    """End-to-end: identical traffic through interpreted and JIT
-    meshes delivers identical packet statistics."""
-    def build():
-        return MeshNetworkStructural(RouterRTL, 16, 256, 32, 2).elaborate()
+# Traffic-harness paths: the compiled driver (traffic_run inside the
+# SimJIT kernel), the Python loop stepping the same kind of SimJIT
+# wrapper (a no-op cycle hook forces the fallback), and the Python loop
+# on the interpreted static simulator.  Each case is (router, nrouters,
+# specializer, back-to-back runs of (rate, ncycles, warmup, drain)).
+TRAFFIC_CASES = {
+    "rtl16-warmup": (RouterRTL, 16, SimJITRTL,
+                     [(0.3, 150, 20, 1000), (0.3, 80, 0, 1000)]),
+    # 9 terminals: randrange(9) draws 4 bits and rejects 9..15.
+    "rtl9-rejection": (RouterRTL, 9, SimJITRTL,
+                       [(0.4, 120, 0, 1000), (0.2, 60, 10, 1000)]),
+    "cl16": (RouterCL, 16, SimJITCL,
+             [(0.3, 120, 0, 1000), (0.3, 60, 5, 1000)]),
+    "rate-0-and-1": (RouterRTL, 16, SimJITRTL,
+                     [(0.0, 50, 0, 1000), (1, 60, 0, 0)]),
+    "drain3-in-flight": (RouterRTL, 16, SimJITRTL,
+                         [(0.6, 80, 0, 3), (0.6, 40, 0, 3)]),
+    # 8-bit sequence numbers wrap several times.
+    "seqnum-wrap": (RouterRTL, 4, SimJITRTL,
+                    [(0.9, 400, 0, 1000), (0.9, 200, 0, 1000)]),
+}
 
-    interp_stats = NetworkTrafficHarness(build(), seed=7) \
-        .run_uniform_random(0.3, 150)
-    jit = SimJITRTL(build()).specialize().elaborate()
-    jit_stats = NetworkTrafficHarness(jit, seed=7) \
-        .run_uniform_random(0.3, 150)
-    assert interp_stats.injected == jit_stats.injected
-    assert interp_stats.ejected == jit_stats.ejected
-    assert interp_stats.latencies == jit_stats.latencies
+
+def _traffic_ports(net):
+    return [int(sig) for port in net.in_
+            for sig in (port.val, port.msg, port.rdy)] + [
+        int(sig) for port in net.out
+        for sig in (port.val, port.msg, port.rdy)]
+
+
+def _traffic_outcome(harness, runs):
+    """Everything a run leaves visible, for each back-to-back run."""
+    outcome = []
+    for rate, ncycles, warmup, drain in runs:
+        stats = harness.run_uniform_random(rate, ncycles, warmup=warmup,
+                                           drain=drain)
+        outcome.append((
+            stats.injected, stats.ejected, stats.latencies, stats.ncycles,
+            harness.sim.ncycles, harness.seqnum, harness.rng.getstate(),
+            _traffic_ports(harness.net)))
+    return outcome
+
+
+def _traffic_paths(router, nrouters, specializer, runs):
+    """Outcomes of the compiled, Python-stepped SimJIT and interpreted
+    paths over the same runs."""
+    def build():
+        return MeshNetworkStructural(router, nrouters, 256, 32, 2) \
+            .elaborate()
+
+    outcomes = {}
+    for path in ("compiled", "python"):
+        wrapper = specializer(build()).specialize().elaborate()
+        sim = SimulationTool(wrapper)
+        if path == "python":
+            sim.add_cycle_hook(lambda cycle: None)
+        harness = NetworkTrafficHarness(wrapper, sim=sim, seed=7)
+        blocker = harness._compiled_blocker(runs[0][0])
+        assert blocker == (None if path == "compiled" else "cycle_hooks")
+        outcomes[path] = _traffic_outcome(harness, runs)
+    net = build()
+    sched = "static" if router is RouterRTL else "auto"
+    outcomes["interp"] = _traffic_outcome(NetworkTrafficHarness(
+        net, sim=SimulationTool(net, sched=sched), seed=7), runs)
+    return outcomes
+
+
+def _assert_traffic_paths_match(case):
+    router, nrouters, specializer, runs = TRAFFIC_CASES[case]
+    outcomes = _traffic_paths(router, nrouters, specializer, runs)
+    assert outcomes["compiled"] == outcomes["interp"]
+    assert outcomes["python"] == outcomes["interp"]
+    return outcomes["interp"]
+
+
+def test_mesh_traffic_statistics_match():
+    """End-to-end: identical traffic through the compiled harness, the
+    Python-stepped SimJIT mesh and the interpreted mesh leaves
+    identical stats (latencies in order), cycle counts, sequence
+    numbers, RNG state and port values, run after run."""
+    _assert_traffic_paths_match("rtl16-warmup")
+
+
+@pytest.mark.parametrize(
+    "case", sorted(set(TRAFFIC_CASES) - {"rtl16-warmup"}))
+def test_mesh_traffic_paths_match(case):
+    outcome = _assert_traffic_paths_match(case)
+    if case == "drain3-in-flight":
+        assert outcome[0][0] > outcome[0][1]      # packets left in flight
+    if case == "seqnum-wrap":
+        assert outcome[-1][5] > 4 * 256
+
+
+class _SubclassedRandom(random.Random):
+    """Same stream as random.Random, but not the exact type."""
+
+
+def _arm_fallback(reason, wrapper, tmp_path):
+    """A sim (and harness tweaks) that takes the Python loop for
+    ``reason``; returns (sim, rng_or_None, rate)."""
+    from fractions import Fraction
+
+    from repro.observe import stable_for
+    from repro.tools import VCDWriter
+
+    kwargs = {
+        "vcd": {"vcd": VCDWriter(str(tmp_path / "traffic.vcd"))},
+        "line_trace": {"line_trace_sink": lambda line: None},
+        "trace_log": {"trace_depth": 4},
+        "profiler": {"profile": True},
+        "stats": {"collect_stats": True},
+    }.get(reason, {})
+    sim = SimulationTool(wrapper, **kwargs)
+    if reason == "cycle_hooks":
+        sim.add_cycle_hook(lambda cycle: None)
+    elif reason == "observers":
+        with pytest.warns(Warning):      # not lowerable: Python sampler
+            sim.watch(stable_for("routers[0].grant_val[0]", 4))
+    elif reason == "compiled_instrumentation":
+        sim.flight_recorder(signals=["routers[0].grant_val[0]"], depth=8)
+    rng = _SubclassedRandom(3) if reason == "rng_type" else None
+    rate = Fraction(1, 2) if reason == "rate_type" else 0.5
+    return sim, rng, rate
+
+
+FALLBACK_REASONS = ["observers", "vcd", "line_trace", "trace_log",
+                    "cycle_hooks", "profiler", "stats",
+                    "compiled_instrumentation", "rng_type", "rate_type",
+                    "not_simjit_top"]
+
+
+@pytest.mark.parametrize("reason", FALLBACK_REASONS)
+def test_traffic_fallback_reason_and_result(reason, tmp_path):
+    """Every blocker keeps the Python loop, names itself on the
+    harness's sim.run span, and changes nothing the run leaves."""
+    from repro.telemetry import tracing
+
+    def build():
+        return MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
+
+    runs = [(0.5, 60, 5, 1000)]
+    wrapper = SimJITRTL(build()).specialize().elaborate()
+    want = _traffic_outcome(NetworkTrafficHarness(wrapper, seed=3), runs)
+
+    if reason == "not_simjit_top":
+        net = build()
+        sim, rng, rate = SimulationTool(net, sched="static"), None, 0.5
+    else:
+        net = SimJITRTL(build()).specialize().elaborate()
+        sim, rng, rate = _arm_fallback(reason, net, tmp_path)
+    harness = NetworkTrafficHarness(net, sim=sim, seed=3)
+    if rng is not None:
+        harness.rng = rng
+    tracer = tracing.arm()
+    try:
+        got = _traffic_outcome(harness, [(rate,) + runs[0][1:]])
+    finally:
+        tracing.disarm()
+    span = [rec for rec in tracer.events if rec["name"] == "sim.run"
+            and rec["args"].get("design") == type(net).__name__][-1]
+    assert span["args"]["driver"] == "python"
+    assert span["args"]["fallback"] == reason
+    assert got == want
+
+
+def test_traffic_compiled_span_counts_cycles_run():
+    from repro.telemetry import tracing
+
+    net = SimJITRTL(MeshNetworkStructural(
+        RouterRTL, 4, 256, 32, 2).elaborate()).specialize().elaborate()
+    harness = NetworkTrafficHarness(net, seed=3)
+    tracer = tracing.arm()
+    try:
+        harness.run_uniform_random(0.5, 40)
+    finally:
+        tracing.disarm()
+    span = [rec for rec in tracer.events if rec["name"] == "sim.run"][-1]
+    assert span["args"]["driver"] == "compiled"
+    assert "fallback" not in span["args"]
+    assert span["args"]["start_cycle"] == 2            # after reset
+    assert span["args"]["ncycles"] == harness.sim.ncycles - 2
 
 
 # -- composition: a JIT model inside an interpreted design -------------------------

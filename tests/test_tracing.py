@@ -364,6 +364,30 @@ def test_profiler_from_tracer_roundtrip():
     assert "sim.run" in prof.summary()
 
 
+def test_traffic_run_spans_count_cycles_run_not_absolute():
+    """Back-to-back harness runs on one simulator: each sim.run span
+    carries the cycles simulated inside it (not the absolute counter,
+    which includes reset cycles and earlier runs), so the profiler's
+    cycle total is exactly the cycles the runs simulated."""
+    from repro.net import MeshNetworkStructural, NetworkTrafficHarness, \
+        RouterRTL
+
+    net = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
+    harness = NetworkTrafficHarness(net, seed=1)
+    tracer = tracing.arm()
+    ran = 0
+    for _ in range(2):
+        before = harness.sim.ncycles
+        harness.run_uniform_random(0.3, 50)
+        ran += harness.sim.ncycles - before - 2     # minus reset cycles
+    tracing.disarm()
+    assert SimProfiler.from_tracer(tracer).cycles == ran
+    spans = [rec["args"] for rec in tracer.events
+             if rec["name"] == "sim.run"]
+    assert [span["start_cycle"] for span in spans] == [
+        2, 2 + spans[0]["ncycles"] + 2]
+
+
 def test_add_phases_is_deprecated():
     prof = SimProfiler()
     with pytest.warns(DeprecationWarning, match="add_phases"):
